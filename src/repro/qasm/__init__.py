@@ -12,8 +12,17 @@ language subset those files use, hand-written with no dependencies:
 - ``measure``, ``barrier``, and full parameter expressions
   (``pi``, arithmetic, ``sin``/``cos``/..., unary minus).
 
-Round-trip guarantee: ``parse(emit(circuit)) == circuit`` for any
-circuit in the supported gate set (a property-based test enforces it).
+The front end is a single scan: one master regex turns the text into a
+flat list of token strings (whitespace and comments never become
+tokens), and an index-based recursive descent walks that list.  Token
+positions are recovered only when an error needs one.
+
+Contract: any text that is not a program of this subset raises
+:class:`~repro.exceptions.QasmError` with its line and column, never
+another exception.  Round-trip guarantee: ``parse(emit(circuit)) ==
+circuit`` for any circuit in the supported gate set and for any circuit
+the parser returns (property-based tests, including a fuzzer, enforce
+both).
 """
 
 from repro.qasm.lexer import Token, tokenize

@@ -1,28 +1,35 @@
-"""Recursive-descent parser for the OpenQASM 2.0 subset.
+"""Index-based recursive-descent parser for the OpenQASM 2.0 subset.
 
-Produces a :class:`~repro.circuits.circuit.QuantumCircuit`.  Multiple
-``qreg`` declarations are flattened into one wire space in declaration
-order (standard practice for mapping work — the device only sees wires).
-User-defined ``gate`` macros are expanded recursively at call sites, so
-the output circuit contains only library gates.
+Walks the flat token-string list of :data:`~repro.qasm.lexer.TOKEN_RE`
+by index and produces a :class:`~repro.circuits.circuit.QuantumCircuit`.
+Multiple ``qreg`` declarations are flattened into one wire space in
+declaration order (standard practice for mapping work — the device only
+sees wires).  User-defined ``gate`` macros are expanded at call sites,
+so the output circuit contains only library gates; a macro body may
+only call gates defined before it, so expansion always terminates.
+
+Every failure is a :class:`~repro.exceptions.QasmError` whose "line N,
+column M" is recovered by re-scanning the source up to the failing
+token — only on the error path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import operator
+from collections import namedtuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import GATE_SPECS, Gate
-from repro.exceptions import QasmError
-from repro.qasm.lexer import Token, tokenize
+from repro.exceptions import CircuitError, QasmError
+from repro.qasm.lexer import ID_START, KEYWORDS, TOKEN_RE, token_kind, token_position
 
 # ----------------------------------------------------------------------
-# Expression mini-AST (delayed evaluation inside gate bodies)
+# Expressions: a float, a parameter name, or (op, *operands)
 # ----------------------------------------------------------------------
 
-Expr = Union[float, str, Tuple]  # number | parameter name | (op, ...)
+Expr = Union[float, str, Tuple]
 
 _FUNCTIONS = {
     "sin": math.sin,
@@ -32,537 +39,463 @@ _FUNCTIONS = {
     "ln": math.log,
     "sqrt": math.sqrt,
 }
+_OPS = {
+    **_FUNCTIONS,
+    "neg": operator.neg,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+
+
+def _compute(op: str, args: Sequence[float]) -> float:
+    """Apply ``op``; anything but a finite real result is a QasmError."""
+    try:
+        value = _OPS[op](*args)
+    except (ArithmeticError, ValueError) as exc:
+        raise QasmError(f"cannot evaluate {op!r}: {exc.args[-1]}") from None
+    # A negative base to a fractional power is complex; 1e308*10 is inf.
+    if value.__class__ is not float or not math.isfinite(value):
+        raise QasmError(f"{op!r} has no finite real value here")
+    return value
 
 
 def _evaluate(expr: Expr, env: Dict[str, float]) -> float:
-    """Evaluate an expression AST under a parameter environment."""
-    if isinstance(expr, (int, float)):
-        return float(expr)
-    if isinstance(expr, str):
-        if expr in env:
-            return env[expr]
-        raise QasmError(f"unbound parameter {expr!r}")
-    op = expr[0]
-    if op == "neg":
-        return -_evaluate(expr[1], env)
-    if op == "call":
-        return _FUNCTIONS[expr[1]](_evaluate(expr[2], env))
-    left = _evaluate(expr[1], env)
-    right = _evaluate(expr[2], env)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return left / right
-    if op == "^":
-        return left**right
-    raise QasmError(f"unknown operator {op!r}")
+    """Evaluate an expression under a macro's parameter binding."""
+    if expr.__class__ is float:
+        return expr
+    if expr.__class__ is str:
+        return env[expr]
+    return _compute(expr[0], [_evaluate(arg, env) for arg in expr[1:]])
 
 
-# ----------------------------------------------------------------------
-# Gate macro table
-# ----------------------------------------------------------------------
+#: A macro: parameter names, qubit count, and its body of
+#: (library gate name or _GateDef, parameter exprs, operand positions).
+_GateDef = namedtuple("_GateDef", "params num_qubits body")
 
+#: Longest accepted integer literal: a size or index, never near 10**18
+#: in practice, and ``int()`` refuses strings past 4,300 digits.
+_MAX_DIGITS = 18
 
-@dataclass
-class _GateDef:
-    """A user-defined (or builtin-macro) gate body."""
+#: Gate names the language builds in; ``U``/``CX`` are the library's
+#: ``u3``/``cx``.
+_ALIASES = {"U": "u3", "CX": "cx"}
 
-    name: str
-    params: List[str]
-    qubits: List[str]
-    body: List[Tuple[str, List[Expr], List[Tuple[str, Optional[int]]]]]
-
-
-def _builtin_macros() -> Dict[str, _GateDef]:
-    """qelib1 gates that our registry lacks, expanded to library gates."""
-    return {
-        "u0": _GateDef("u0", ["gamma"], ["a"], [("id", [], [("a", None)])]),
-        "u": _GateDef(
-            "u",
-            ["theta", "phi", "lam"],
-            ["a"],
-            [("u3", ["theta", "phi", "lam"], [("a", None)])],
-        ),
-        "p": _GateDef("p", ["lam"], ["a"], [("u1", ["lam"], [("a", None)])]),
-        "cu3": _GateDef(
-            "cu3",
-            ["theta", "phi", "lam"],
-            ["c", "t"],
-            [
-                ("u1", [("/", ("+", "lam", "phi"), 2.0)], [("c", None)]),
-                ("u1", [("/", ("-", "lam", "phi"), 2.0)], [("t", None)]),
-                ("cx", [], [("c", None), ("t", None)]),
-                (
-                    "u3",
-                    [
-                        ("neg", ("/", "theta", 2.0)),
-                        0.0,
-                        ("neg", ("/", ("+", "phi", "lam"), 2.0)),
-                    ],
-                    [("t", None)],
-                ),
-                ("cx", [], [("c", None), ("t", None)]),
-                ("u3", [("/", "theta", 2.0), "phi", 0.0], [("t", None)]),
-            ],
-        ),
-        "crx": _GateDef(
-            "crx",
-            ["theta"],
-            ["c", "t"],
-            [
-                ("u1", [("/", math.pi, 2.0)], [("t", None)]),
-                ("cx", [], [("c", None), ("t", None)]),
-                (
-                    "u3",
-                    [("neg", ("/", "theta", 2.0)), 0.0, 0.0],
-                    [("t", None)],
-                ),
-                ("cx", [], [("c", None), ("t", None)]),
-                (
-                    "u3",
-                    [("/", "theta", 2.0), ("neg", ("/", math.pi, 2.0)), 0.0],
-                    [("t", None)],
-                ),
-            ],
-        ),
-        "cry": _GateDef(
-            "cry",
-            ["theta"],
-            ["c", "t"],
-            [
-                ("ry", [("/", "theta", 2.0)], [("t", None)]),
-                ("cx", [], [("c", None), ("t", None)]),
-                ("ry", [("neg", ("/", "theta", 2.0))], [("t", None)]),
-                ("cx", [], [("c", None), ("t", None)]),
-            ],
-        ),
-    }
-
-
-# ----------------------------------------------------------------------
-# Parser
-# ----------------------------------------------------------------------
+#: qelib1 gates the library lacks, defined over library gates.
+QELIB_MACROS = """
+gate u0(gamma) a { id a; }
+gate u(theta, phi, lam) a { u3(theta, phi, lam) a; }
+gate p(lam) a { u1(lam) a; }
+gate cu3(theta, phi, lam) c, t { u1((lam+phi)/2) c; u1((lam-phi)/2) t; cx c, t;
+  u3(-(theta/2), 0, -((phi+lam)/2)) t; cx c, t; u3(theta/2, phi, 0) t; }
+gate crx(theta) c, t { u1(pi/2) t; cx c, t; u3(-(theta/2), 0, 0) t; cx c, t;
+  u3(theta/2, -(pi/2), 0) t; }
+gate cry(theta) c, t { ry(theta/2) t; cx c, t; ry(-(theta/2)) t; cx c, t; }
+"""
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], name: str) -> None:
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, source: str, name: str, macros: Dict[str, _GateDef]) -> None:
+        self.source = source
+        self.toks: List[str] = TOKEN_RE.findall(source)
+        self.i = 0
         self.name = name
-        self.qregs: List[Tuple[str, int, int]] = []  # (name, size, offset)
-        self.cregs: List[Tuple[str, int, int]] = []
-        self.num_wires = 0
-        self.num_clbits = 0
-        self.gate_defs: Dict[str, _GateDef] = _builtin_macros()
+        #: kind -> register name -> (offset, size); kind -> total size.
+        self.regs: Dict[str, Dict[str, Tuple[int, int]]] = {"qreg": {}, "creg": {}}
+        self.sizes = {"qreg": 0, "creg": 0}
+        self.gate_defs = dict(macros)
         self.opaque: set = set()
         self.gates: List[Gate] = []
 
-    # -- token helpers --------------------------------------------------
+    # -- tokens and errors ------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, index: int = -1) -> QasmError:
+        """The error for token ``index`` (default: the current one)."""
+        index = self.i if index < 0 else index
+        value = self.toks[index]
+        if token_kind(value) == "BAD":
+            message = f"unexpected character {value!r}"
+        return QasmError(message, *token_position(self.source, index))
 
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+    def take(self, want: str) -> None:
+        if self.toks[self.i] != want:
+            raise self.fail(f"expected {want!r}, found {self.toks[self.i]!r}")
+        self.i += 1
 
-    def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        token = self.peek()
-        if token.kind != kind or (value is not None and token.value != value):
-            want = value or kind
-            raise QasmError(
-                f"expected {want!r}, found {token.value!r}",
-                token.line,
-                token.column,
-            )
-        return self.advance()
+    def ident(self) -> str:
+        tok = self.toks[self.i]
+        if tok[:1] not in ID_START or tok in KEYWORDS:
+            raise self.fail(f"expected an identifier, found {tok!r}")
+        self.i += 1
+        return tok
 
-    def error(self, message: str) -> QasmError:
-        token = self.peek()
-        return QasmError(message, token.line, token.column)
+    def integer(self) -> int:
+        tok = self.toks[self.i]
+        if not tok.isdecimal() or len(tok) > _MAX_DIGITS:
+            raise self.fail(f"expected an integer below 10**{_MAX_DIGITS}, found {tok!r}")
+        self.i += 1
+        return int(tok)
+
+    def names(self) -> List[str]:
+        names = [self.ident()]
+        while self.toks[self.i] == ",":
+            self.i += 1
+            names.append(self.ident())
+        return names
+
+    def gate(self, name: str, qubits: Tuple[int, ...], params=(), clbit=None, at: int = -1) -> None:
+        """Append a library gate; its validation error is a QasmError at
+        token ``at``."""
+        try:
+            self.gates.append(Gate(name, qubits, params, clbit))
+        except CircuitError as exc:
+            raise self.fail(str(exc), at) from None
 
     # -- program --------------------------------------------------------
 
     def parse(self) -> QuantumCircuit:
-        self._parse_header()
-        while self.peek().kind != "EOF":
-            self._parse_statement()
+        toks = self.toks
+        if toks[0] == "OPENQASM":
+            self.i = 1
+            if toks[1] not in ("2.0", "2"):
+                raise self.fail(f"unsupported OpenQASM version {toks[1]!r}")
+            self.i = 2
+            self.take(";")
+        statements = {
+            "include": self._include,
+            "qreg": self._register,
+            "creg": self._register,
+            "gate": self._gate_def,
+            "opaque": self._opaque,
+            "measure": self._measure,
+            "barrier": self._barrier,
+            "reset": self._reset,
+        }
+        while toks[self.i]:
+            tok = toks[self.i]
+            handler = statements.get(tok)
+            if handler is not None:
+                handler()
+            elif tok == "if":
+                raise self.fail("classically-controlled gates are not supported")
+            elif tok in KEYWORDS:
+                raise self.fail(f"unexpected keyword {tok!r}")
+            elif tok[0] in ID_START:
+                self._gate_call()
+            else:
+                raise self.fail(f"unexpected token {tok!r}")
         circuit = QuantumCircuit(
-            max(self.num_wires, 1), self.name, max(self.num_clbits, 1)
+            max(self.sizes["qreg"], 1), self.name, max(self.sizes["creg"], 1)
         )
         for gate in self.gates:
             circuit.append(gate)
         return circuit
 
-    def _parse_header(self) -> None:
-        token = self.peek()
-        if token.kind == "KEYWORD" and token.value == "OPENQASM":
-            self.advance()
-            version = self.advance()
-            if version.value not in ("2.0", "2"):
-                raise QasmError(
-                    f"unsupported OpenQASM version {version.value!r}",
-                    version.line,
-                    version.column,
-                )
-            self.expect("SYMBOL", ";")
-
-    def _parse_statement(self) -> None:
-        token = self.peek()
-        if token.kind == "KEYWORD":
-            handler = {
-                "include": self._parse_include,
-                "qreg": self._parse_qreg,
-                "creg": self._parse_creg,
-                "gate": self._parse_gate_def,
-                "opaque": self._parse_opaque,
-                "measure": self._parse_measure,
-                "barrier": self._parse_barrier,
-                "reset": self._parse_reset,
-                "if": self._parse_if,
-            }.get(token.value)
-            if handler is None:
-                raise self.error(f"unexpected keyword {token.value!r}")
-            handler()
-        elif token.kind == "ID":
-            self._parse_gate_call()
-        else:
-            raise self.error(f"unexpected token {token.value!r}")
-
     # -- declarations ---------------------------------------------------
 
-    def _parse_include(self) -> None:
-        self.advance()
-        self.expect("STRING")
-        self.expect("SYMBOL", ";")
+    def _include(self) -> None:
+        self.i += 1
+        tok = self.toks[self.i]
+        if token_kind(tok) != "STRING":
+            raise self.fail(f"expected a file name string, found {tok!r}")
+        self.i += 1
+        self.take(";")
 
-    def _parse_sized_decl(self) -> Tuple[str, int]:
-        name = self.expect("ID").value
-        self.expect("SYMBOL", "[")
-        size = int(self.expect("INT").value)
-        self.expect("SYMBOL", "]")
-        self.expect("SYMBOL", ";")
+    def _register(self) -> None:
+        kind = self.toks[self.i]
+        at = self.i = self.i + 1
+        name = self.ident()
+        self.take("[")
+        size = self.integer()
+        self.take("]")
+        self.take(";")
         if size < 1:
-            raise self.error(f"register {name!r} must have positive size")
-        return name, size
+            raise self.fail(f"register {name!r} must have positive size", at + 2)
+        table = self.regs[kind]
+        if name in table:
+            raise self.fail(f"duplicate {kind} {name!r}", at)
+        table[name] = (self.sizes[kind], size)
+        self.sizes[kind] += size
 
-    def _parse_qreg(self) -> None:
-        self.advance()
-        name, size = self._parse_sized_decl()
-        if any(r[0] == name for r in self.qregs):
-            raise self.error(f"duplicate qreg {name!r}")
-        self.qregs.append((name, size, self.num_wires))
-        self.num_wires += size
+    def _opaque(self) -> None:
+        self.i += 1
+        self.opaque.add(self._signature()[0])
+        self.take(";")
 
-    def _parse_creg(self) -> None:
-        self.advance()
-        name, size = self._parse_sized_decl()
-        if any(r[0] == name for r in self.cregs):
-            raise self.error(f"duplicate creg {name!r}")
-        self.cregs.append((name, size, self.num_clbits))
-        self.num_clbits += size
-
-    def _parse_opaque(self) -> None:
-        self.advance()
-        name = self.expect("ID").value
-        self.opaque.add(name)
-        while not (
-            self.peek().kind == "SYMBOL" and self.peek().value == ";"
-        ):
-            self.advance()
-        self.advance()
-
-    def _parse_if(self) -> None:
-        raise self.error("classically-controlled gates are not supported")
-
-    def _parse_reset(self) -> None:
-        self.advance()
-        for wire in self._parse_qubit_argument():
-            self.gates.append(Gate("reset", (wire,)))
-        self.expect("SYMBOL", ";")
-
-    # -- gate definitions -------------------------------------------------
-
-    def _parse_gate_def(self) -> None:
-        self.advance()
-        name = self.expect("ID").value
+    def _signature(self) -> Tuple[str, List[str], List[str]]:
+        """``name (params)? qubits`` of a gate or opaque declaration."""
+        name = self.ident()
         params: List[str] = []
-        if self.peek().kind == "SYMBOL" and self.peek().value == "(":
-            self.advance()
-            if not (self.peek().kind == "SYMBOL" and self.peek().value == ")"):
-                params.append(self.expect("ID").value)
-                while self.peek().value == ",":
-                    self.advance()
-                    params.append(self.expect("ID").value)
-            self.expect("SYMBOL", ")")
-        qubits = [self.expect("ID").value]
-        while self.peek().value == ",":
-            self.advance()
-            qubits.append(self.expect("ID").value)
-        self.expect("SYMBOL", "{")
-        body: List[Tuple[str, List[Expr], List[Tuple[str, Optional[int]]]]] = []
-        while not (self.peek().kind == "SYMBOL" and self.peek().value == "}"):
-            if self.peek().kind == "KEYWORD" and self.peek().value == "barrier":
-                # Barriers inside macros are dropped (they only order the
-                # body, which is already sequential).
-                while self.peek().value != ";":
-                    self.advance()
-                self.advance()
+        if self.toks[self.i] == "(":
+            self.i += 1
+            if self.toks[self.i] != ")":
+                params = self.names()
+            self.take(")")
+        return name, params, self.names()
+
+    def _gate_def(self) -> None:
+        self.i += 1
+        name, params, qubits = self._signature()
+        self.take("{")
+        body = []
+        toks = self.toks
+        while toks[self.i] != "}":
+            if toks[self.i] == "barrier":  # orders nothing in a sequential body
+                self.i += 1
+                self.names()
+                self.take(";")
                 continue
-            gate_name = self.expect("ID").value
-            exprs: List[Expr] = []
-            if self.peek().value == "(":
-                self.advance()
-                if self.peek().value != ")":
-                    exprs.append(self._parse_expression(params))
-                    while self.peek().value == ",":
-                        self.advance()
-                        exprs.append(self._parse_expression(params))
-                self.expect("SYMBOL", ")")
-            args: List[Tuple[str, Optional[int]]] = []
-            args.append((self.expect("ID").value, None))
-            while self.peek().value == ",":
-                self.advance()
-                args.append((self.expect("ID").value, None))
-            self.expect("SYMBOL", ";")
-            body.append((gate_name, exprs, args))
-        self.expect("SYMBOL", "}")
-        self.gate_defs[name] = _GateDef(name, params, qubits, body)
+            at = self.i
+            callee = self.ident()
+            callee = _ALIASES.get(callee, callee)
+            exprs = self._exprs(params) if toks[self.i] == "(" else []
+            wires = []
+            for arg in self.names():
+                if arg not in qubits:
+                    raise self.fail(f"gate {name!r} body references unknown qubit {arg!r}", self.i - 1)
+                wires.append(qubits.index(arg))
+            self.take(";")
+            target = self.gate_defs.get(callee, callee)
+            if target.__class__ is _GateDef:
+                self._check_arity(callee, target, exprs, wires, at)
+            elif target not in GATE_SPECS:
+                raise self.fail(f"unknown gate {callee!r}", at)
+            body.append((target, exprs, tuple(wires)))
+        self.i += 1
+        self.gate_defs[name] = _GateDef(params, len(qubits), body)
 
-    # -- gate calls -------------------------------------------------------
+    # -- statements -----------------------------------------------------
 
-    def _lookup_qreg(self, name: str) -> Tuple[str, int, int]:
-        for reg in self.qregs:
-            if reg[0] == name:
-                return reg
-        raise self.error(f"undeclared qreg {name!r}")
+    def _arguments(self, kind: str, many: bool = True) -> Tuple[list, bool]:
+        """Register arguments: a wire index each, or the range of wires
+        of a bare register name; and whether any name was bare."""
+        toks, i, table = self.toks, self.i, self.regs[kind]
+        args: list = []
+        bare = False
+        while True:
+            tok = toks[i]
+            reg = table.get(tok)
+            if reg is None:
+                self.i = i
+                if tok[:1] in ID_START and tok not in KEYWORDS:
+                    raise self.fail(f"undeclared {kind} {tok!r}")
+                raise self.fail(f"expected a {kind} argument, found {tok!r}")
+            offset, size = reg
+            if toks[i + 1] == "[":
+                index = toks[i + 2]
+                if not index.isdecimal() or len(index) > _MAX_DIGITS or toks[i + 3] != "]":
+                    self.i = i + 2
+                    self.integer()
+                    self.take("]")
+                index = int(index)
+                if index >= size:
+                    raise self.fail(f"index {index} out of range for {kind} {tok}[{size}]", i + 2)
+                args.append(offset + index)
+                i += 4
+            else:
+                args.append(range(offset, offset + size))
+                bare = True
+                i += 1
+            if not many or toks[i] != ",":
+                self.i = i
+                return args, bare
+            i += 1
 
-    def _lookup_creg(self, name: str) -> Tuple[str, int, int]:
-        for reg in self.cregs:
-            if reg[0] == name:
-                return reg
-        raise self.error(f"undeclared creg {name!r}")
-
-    def _parse_qubit_argument(self) -> List[int]:
-        """One argument; a bare register name yields all its wires."""
-        name = self.expect("ID").value
-        reg_name, size, offset = self._lookup_qreg(name)
-        if self.peek().kind == "SYMBOL" and self.peek().value == "[":
-            self.advance()
-            index = int(self.expect("INT").value)
-            self.expect("SYMBOL", "]")
-            if index >= size:
-                raise self.error(
-                    f"index {index} out of range for qreg {reg_name}[{size}]"
-                )
-            return [offset + index]
-        return [offset + i for i in range(size)]
-
-    def _parse_clbit_argument(self) -> List[int]:
-        name = self.expect("ID").value
-        reg_name, size, offset = self._lookup_creg(name)
-        if self.peek().kind == "SYMBOL" and self.peek().value == "[":
-            self.advance()
-            index = int(self.expect("INT").value)
-            self.expect("SYMBOL", "]")
-            if index >= size:
-                raise self.error(
-                    f"index {index} out of range for creg {reg_name}[{size}]"
-                )
-            return [offset + index]
-        return [offset + i for i in range(size)]
-
-    def _parse_gate_call(self) -> None:
-        token = self.advance()
-        name = token.value.lower() if token.value in ("U", "CX") else token.value
-        if token.value == "U":
-            name = "u3"
-        elif token.value == "CX":
-            name = "cx"
-        params: List[float] = []
-        if self.peek().kind == "SYMBOL" and self.peek().value == "(":
-            self.advance()
-            if self.peek().value != ")":
-                params.append(_evaluate(self._parse_expression([]), {}))
-                while self.peek().value == ",":
-                    self.advance()
-                    params.append(_evaluate(self._parse_expression([]), {}))
-            self.expect("SYMBOL", ")")
-        args: List[List[int]] = [self._parse_qubit_argument()]
-        while self.peek().value == ",":
-            self.advance()
-            args.append(self._parse_qubit_argument())
-        self.expect("SYMBOL", ";")
+    def _gate_call(self) -> None:
+        toks = self.toks
+        at = self.i
+        name = _ALIASES.get(toks[at], toks[at])
+        self.i = at + 1
+        params = tuple(self._exprs(())) if toks[self.i] == "(" else ()
+        args, bare = self._arguments("qreg")
+        self.take(";")
         if name in self.opaque:
-            raise QasmError(
-                f"cannot expand opaque gate {name!r}", token.line, token.column
-            )
-        for operands in self._broadcast(args, token):
-            self._emit_gate(name, params, operands, token)
+            raise self.fail(f"cannot expand opaque gate {name!r}", at)
+        definition = self.gate_defs.get(name)
+        if definition is None and not bare:
+            self.gate(name, tuple(args), params, at=at)
+            return
+        if definition is not None:
+            self._check_arity(name, definition, params, args, at)
+        for operands in self._broadcast(args, at):
+            if definition is None:
+                self.gate(name, operands, params, at=at)
+            else:
+                self._expand(definition, params, operands, at)
 
-    def _broadcast(
-        self, args: List[List[int]], token: Token
-    ) -> List[Tuple[int, ...]]:
+    def _broadcast(self, args: list, at: int) -> List[Tuple[int, ...]]:
         """QASM register broadcast: size-k registers iterate in lockstep,
         single qubits repeat."""
-        sizes = {len(a) for a in args if len(a) > 1}
+        sizes = {len(a) for a in args if a.__class__ is range and len(a) > 1}
+        if not sizes:
+            return [tuple(a if a.__class__ is int else a[0] for a in args)]
         if len(sizes) > 1:
-            raise QasmError(
-                "mismatched register sizes in gate call",
-                token.line,
-                token.column,
-            )
-        width = sizes.pop() if sizes else 1
+            raise self.fail("mismatched register sizes in gate call", at)
         return [
-            tuple(a[i] if len(a) > 1 else a[0] for a in args)
-            for i in range(width)
+            tuple(a if a.__class__ is int else a[k] if len(a) > 1 else a[0] for a in args)
+            for k in range(sizes.pop())
         ]
 
-    def _emit_gate(
-        self,
-        name: str,
-        params: Sequence[float],
-        operands: Tuple[int, ...],
-        token: Token,
-    ) -> None:
-        """Emit a library gate or recursively expand a macro."""
-        if name in GATE_SPECS and name not in self.gate_defs:
-            try:
-                self.gates.append(Gate(name, operands, tuple(params)))
-            except Exception as exc:
-                raise QasmError(str(exc), token.line, token.column) from exc
-            return
-        definition = self.gate_defs.get(name)
-        if definition is None:
-            raise QasmError(
-                f"unknown gate {name!r}", token.line, token.column
-            )
+    def _check_arity(self, name: str, definition: _GateDef, params, qubits, at: int) -> None:
         if len(params) != len(definition.params):
-            raise QasmError(
+            raise self.fail(
                 f"gate {name!r} expects {len(definition.params)} parameter(s), "
                 f"got {len(params)}",
-                token.line,
-                token.column,
+                at,
             )
-        if len(operands) != len(definition.qubits):
-            raise QasmError(
-                f"gate {name!r} expects {len(definition.qubits)} qubit(s), "
-                f"got {len(operands)}",
-                token.line,
-                token.column,
+        if len(qubits) != definition.num_qubits:
+            raise self.fail(
+                f"gate {name!r} expects {definition.num_qubits} qubit(s), got {len(qubits)}",
+                at,
             )
+
+    def _expand(self, definition: _GateDef, params, operands, at: int) -> None:
         env = dict(zip(definition.params, params))
-        binding = dict(zip(definition.qubits, operands))
-        for sub_name, exprs, arg_names in definition.body:
-            sub_params = [_evaluate(e, env) for e in exprs]
+        for target, exprs, wires in definition.body:
             try:
-                sub_operands = tuple(binding[arg] for arg, _ in arg_names)
-            except KeyError as exc:
-                raise QasmError(
-                    f"gate {name!r} body references unknown qubit {exc}",
-                    token.line,
-                    token.column,
-                ) from exc
-            self._emit_gate(sub_name, sub_params, sub_operands, token)
+                values = tuple(_evaluate(e, env) for e in exprs)
+            except QasmError as exc:
+                raise self.fail(str(exc), at) from None
+            sub = tuple(operands[w] for w in wires)
+            if target.__class__ is _GateDef:
+                self._expand(target, values, sub, at)
+            else:
+                self.gate(target, sub, values, at=at)
 
-    def _parse_measure(self) -> None:
-        self.advance()
-        qubits = self._parse_qubit_argument()
-        self.expect("ARROW")
-        clbits = self._parse_clbit_argument()
-        self.expect("SYMBOL", ";")
-        if len(qubits) != len(clbits):
-            raise self.error("measure register size mismatch")
-        for q, c in zip(qubits, clbits):
-            self.gates.append(Gate("measure", (q,), clbit=c))
-
-    def _parse_barrier(self) -> None:
-        self.advance()
+    def _wires(self, kind: str, many: bool = True) -> List[int]:
         wires: List[int] = []
-        wires.extend(self._parse_qubit_argument())
-        while self.peek().value == ",":
-            self.advance()
-            wires.extend(self._parse_qubit_argument())
-        self.expect("SYMBOL", ";")
-        self.gates.append(Gate("barrier", tuple(wires)))
+        for arg in self._arguments(kind, many)[0]:
+            if arg.__class__ is int:
+                wires.append(arg)
+            else:
+                wires.extend(arg)
+        return wires
+
+    def _measure(self) -> None:
+        at = self.i = self.i + 1
+        qubits = self._wires("qreg", many=False)
+        self.take("->")
+        clbits = self._wires("creg", many=False)
+        self.take(";")
+        if len(qubits) != len(clbits):
+            raise self.fail("measure register size mismatch", at - 1)
+        for q, c in zip(qubits, clbits):
+            self.gate("measure", (q,), clbit=c, at=at)
+
+    def _barrier(self) -> None:
+        at = self.i = self.i + 1
+        wires = tuple(self._wires("qreg"))
+        self.take(";")
+        self.gate("barrier", wires, at=at)
+
+    def _reset(self) -> None:
+        at = self.i = self.i + 1
+        for wire in self._wires("qreg", many=False):
+            self.gate("reset", (wire,), at=at)
+        self.take(";")
 
     # -- expressions ------------------------------------------------------
 
-    def _parse_expression(self, param_names: Sequence[str]) -> Expr:
-        return self._parse_additive(param_names)
+    def _exprs(self, names: Sequence[str]) -> List[Expr]:
+        """``( expr, ... )``; the current token is the ``(``."""
+        self.i += 1
+        exprs: List[Expr] = []
+        if self.toks[self.i] != ")":
+            exprs.append(self._expr(names))
+            while self.toks[self.i] == ",":
+                self.i += 1
+                exprs.append(self._expr(names))
+        self.take(")")
+        return exprs
 
-    def _parse_additive(self, names: Sequence[str]) -> Expr:
-        left = self._parse_multiplicative(names)
-        while self.peek().kind == "SYMBOL" and self.peek().value in "+-":
-            op = self.advance().value
-            right = self._parse_multiplicative(names)
-            left = (op, left, right)
+    def _node(self, at: int, op: str, *args: Expr) -> Expr:
+        """``(op, *args)``, computed now when every operand is a number."""
+        if all(arg.__class__ is float for arg in args):
+            try:
+                return _compute(op, args)
+            except QasmError as exc:
+                raise self.fail(str(exc), at) from None
+        return (op, *args)
+
+    def _expr(self, names: Sequence[str]) -> Expr:
+        left = self._term(names)
+        while self.toks[self.i] in ("+", "-"):
+            at = self.i
+            self.i += 1
+            left = self._node(at, self.toks[at], left, self._term(names))
         return left
 
-    def _parse_multiplicative(self, names: Sequence[str]) -> Expr:
-        left = self._parse_unary(names)
-        while self.peek().kind == "SYMBOL" and self.peek().value in "*/":
-            op = self.advance().value
-            right = self._parse_unary(names)
-            left = (op, left, right)
+    def _term(self, names: Sequence[str]) -> Expr:
+        left = self._unary(names)
+        while self.toks[self.i] in ("*", "/"):
+            at = self.i
+            self.i += 1
+            left = self._node(at, self.toks[at], left, self._unary(names))
         return left
 
-    def _parse_unary(self, names: Sequence[str]) -> Expr:
-        token = self.peek()
-        if token.kind == "SYMBOL" and token.value == "-":
-            self.advance()
-            return ("neg", self._parse_unary(names))
-        if token.kind == "SYMBOL" and token.value == "+":
-            self.advance()
-            return self._parse_unary(names)
-        return self._parse_power(names)
-
-    def _parse_power(self, names: Sequence[str]) -> Expr:
-        left = self._parse_atom(names)
-        if self.peek().kind == "SYMBOL" and self.peek().value == "^":
-            self.advance()
-            right = self._parse_unary(names)
-            return ("^", left, right)
+    def _unary(self, names: Sequence[str]) -> Expr:
+        at = self.i
+        tok = self.toks[at]
+        if tok == "-":
+            self.i += 1
+            return self._node(at, "neg", self._unary(names))
+        if tok == "+":
+            self.i += 1
+            return self._unary(names)
+        left = self._atom(names)
+        if self.toks[self.i] == "^":
+            at = self.i
+            self.i += 1
+            return self._node(at, "^", left, self._unary(names))
         return left
 
-    def _parse_atom(self, names: Sequence[str]) -> Expr:
-        token = self.advance()
-        if token.kind in ("REAL", "INT"):
-            return float(token.value)
-        if token.kind == "KEYWORD" and token.value == "pi":
+    def _atom(self, names: Sequence[str]) -> Expr:
+        at = self.i
+        tok = self.toks[at]
+        self.i += 1
+        if tok == "pi":
             return math.pi
-        if token.kind == "ID":
-            if token.value in _FUNCTIONS:
-                self.expect("SYMBOL", "(")
-                inner = self._parse_expression(names)
-                self.expect("SYMBOL", ")")
-                return ("call", token.value, inner)
-            if token.value in names:
-                return token.value
-            raise QasmError(
-                f"unknown identifier {token.value!r} in expression",
-                token.line,
-                token.column,
-            )
-        if token.kind == "SYMBOL" and token.value == "(":
-            inner = self._parse_expression(names)
-            self.expect("SYMBOL", ")")
+        if tok == "(":
+            inner = self._expr(names)
+            self.take(")")
             return inner
-        raise QasmError(
-            f"unexpected token {token.value!r} in expression",
-            token.line,
-            token.column,
-        )
+        kind = token_kind(tok)
+        if kind in ("INT", "REAL"):
+            if math.isfinite(float(tok)):
+                return float(tok)
+            raise self.fail(f"number {tok!r} is out of range", at)
+        if kind == "ID" and tok in _FUNCTIONS:
+            self.take("(")
+            inner = self._expr(names)
+            self.take(")")
+            return self._node(at, tok, inner)
+        if kind == "ID" and tok in names:
+            return tok
+        if kind == "ID":
+            raise self.fail(f"unknown identifier {tok!r} in expression", at)
+        raise self.fail(f"unexpected token {tok!r} in expression", at)
+
+
+def _parse(source: str, name: str, macros: Dict[str, _GateDef]):
+    parser = _Parser(source, name, macros)
+    try:
+        return parser, parser.parse()
+    except RecursionError:
+        raise parser.fail("program nests too deeply") from None
+
+
+_QELIB = _parse(QELIB_MACROS, "qelib1", {})[0].gate_defs
 
 
 def parse_qasm(source: str, name: str = "qasm_circuit") -> QuantumCircuit:
-    """Parse OpenQASM 2.0 source text into a circuit."""
-    return _Parser(tokenize(source), name).parse()
+    """Parse OpenQASM 2.0 source text into a circuit.
+
+    Raises :class:`~repro.exceptions.QasmError`, and nothing else, for
+    any text that is not a program of the supported subset.
+    """
+    return _parse(source, name, _QELIB)[1]
 
 
 def parse_qasm_file(path: str) -> QuantumCircuit:

@@ -506,9 +506,12 @@ class CoalescingScheduler:
         if self._shutdown:
             raise ReproError("scheduler is shut down")
         # Parse once: the fingerprint needs the gate list anyway, and
-        # the worker reuses the parsed circuit via the job.
-        circuit = request.parsed_circuit()
-        key = request.fingerprint(circuit)
+        # the worker reuses the parsed circuit via the job.  The two
+        # spans are most of a store hit's time.
+        with span("request.parse"):
+            circuit = request.parsed_circuit()
+        with span("request.fingerprint"):
+            key = request.fingerprint(circuit)
         effective_timeout = timeout if timeout is not None else self.default_timeout
         with self._lock:
             self._submitted += 1

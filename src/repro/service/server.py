@@ -54,6 +54,7 @@ server never leaks a traceback over the wire.
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 import time
@@ -142,6 +143,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # Replies are written whole (``_send_body``), but Nagle's algorithm
+    # would still hold the tail of one longer than a TCP segment until
+    # the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
 
@@ -182,13 +187,30 @@ class ServiceHandler(BaseHTTPRequestHandler):
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(status, "application/json", body, headers)
+
+    def _send_body(
+        self,
+        status: int,
+        content_type: str,
+        body: bytes,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """Send a whole reply in one write.  Headers and body in two
+        sends would leave the body to Nagle's algorithm, which holds it
+        for a keep-alive client's delayed ACK (~40 ms per reply)."""
+        sink, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            reply = self.wfile.getvalue() + body
+        finally:
+            self.wfile = sink
+        sink.write(reply)
 
     def _read_json_body(self) -> object:
         try:
@@ -310,14 +332,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
         elif path == "/stats":
             self._send_json(200, self.state.snapshot())
         elif path == "/metrics":
-            body = self.state.registry.render().encode("utf-8")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+            self._send_body(
+                200,
+                "text/plain; version=0.0.4; charset=utf-8",
+                self.state.registry.render().encode("utf-8"),
             )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
         elif path.startswith("/trace/"):
             job_id = path[len("/trace/"):]
             trace = self.state.traces.get(job_id)

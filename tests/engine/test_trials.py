@@ -90,10 +90,13 @@ class TestExecutors:
         )
         assert serial.best_result.initial_layout == pooled.best_result.initial_layout
 
-    def test_single_seed_skips_pool(self, grid3x3, workload):
-        outcome = run_trials(
-            workload, grid3x3, seeds=[7], executor="process", jobs=4
-        )
+    def test_single_seed_skips_pool(self, grid3x3, workload, monkeypatch):
+        # The downgrade warns once per process: start from a clean slate.
+        monkeypatch.setattr("repro.engine.trials._DOWNGRADES_WARNED", set())
+        with pytest.warns(RuntimeWarning, match="ran as 'serial'"):
+            outcome = run_trials(
+                workload, grid3x3, seeds=[7], executor="process", jobs=4
+            )
         assert len(outcome.trials) == 1
         assert outcome.winner.seed == 7
         # The downgrade is no longer silent: the outcome records the

@@ -295,6 +295,77 @@ class TestKeepAliveHygiene:
         finally:
             conn.close()
 
+    def test_each_reply_is_one_write(self, service, monkeypatch):
+        """Headers and body leave in one send; split, the body would sit
+        behind Nagle's algorithm until the client's delayed ACK."""
+        import http.client
+
+        from repro.service.server import ServiceHandler
+
+        writes = []
+        setup = ServiceHandler.setup
+
+        class CountingWriter:
+            def __init__(self, raw):
+                self.raw = raw
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self.raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.raw, name)
+
+        def counting_setup(handler):
+            setup(handler)
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(ServiceHandler, "setup", counting_setup)
+        client, _ = service
+        host, port = client.base_url[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        requests = [
+            ("GET", "/healthz", None, 200),
+            ("POST", "/compile", {"qasm": QASM, "trials": 1}, 200),
+            ("POST", "/compile", {"qasm": "qreg q[1]; h q[5];"}, 400),
+            ("GET", "/metrics", None, 200),
+            ("GET", "/nope", None, 404),
+        ]
+        try:
+            for method, path, payload, status in requests:
+                body = json.dumps(payload).encode() if payload else None
+                conn.request(method, path, body=body)
+                reply = conn.getresponse()
+                assert reply.status == status
+                assert len(reply.read()) == int(reply.headers["Content-Length"])
+        finally:
+            conn.close()
+        assert len(writes) == len(requests)
+        assert all(w.startswith(b"HTTP/1.1 ") for w in writes)
+
+    def test_sequential_keep_alive_round_trips(self, service):
+        """Store hits on one keep-alive connection come back without the
+        ~40 ms per-reply stall of a split write."""
+        import http.client
+
+        client, _ = service
+        client.compile(QASM, trials=1)
+        host, port = client.base_url[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        body = json.dumps({"qasm": QASM, "trials": 1}).encode()
+        latencies = []
+        try:
+            for _ in range(15):
+                started = time.perf_counter()
+                conn.request("POST", "/compile", body=body)
+                reply = conn.getresponse()
+                assert reply.status == 200
+                assert json.loads(reply.read())["cached"]
+                latencies.append(time.perf_counter() - started)
+        finally:
+            conn.close()
+        assert sorted(latencies)[len(latencies) // 2] < 0.035
+
     def test_concurrent_first_device_catalog_calls(self, service):
         """GET /devices under concurrent first use returns one clean
         catalog per call (module-level lazy build must not corrupt)."""

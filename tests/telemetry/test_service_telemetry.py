@@ -110,6 +110,18 @@ class TestTraceEndpoint:
             if s["name"].startswith("pass."):
                 assert s["parent_id"] == pipeline["span_id"]
 
+    def test_store_hit_trace_shows_parse_and_fingerprint(self, service):
+        client, _ = service
+        client.compile(QASM, trials=2)
+        reply = traced_compile(client)
+        assert reply["cached"]
+        spans = client._request("GET", f"/trace/{reply['id']}")["spans"]
+        by_name = {s["name"]: s for s in spans}
+        root = by_name["http.request"]
+        for name in ("request.parse", "request.fingerprint"):
+            assert by_name[name]["parent_id"] == root["span_id"]
+            assert by_name[name]["wall_seconds"] >= 0.0
+
     def test_profile_adds_router_aggregates(self, service):
         client, _ = service
         reply = traced_compile(client, profile=True)
