@@ -224,6 +224,8 @@ def _cmd_devices(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
+    import os
+    import signal
     import time
 
     from repro.service import build_server, serve_url, shutdown_service
@@ -290,6 +292,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         execution=args.execution,
     )
+    server_pid = os.getpid()
+
+    def on_sigterm(signum: int, frame: object) -> None:
+        if os.getpid() != server_pid:
+            # A forked worker inherited this handler: die as SIGTERM
+            # would have killed it (lane shutdown terminates workers).
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        # Process managers stop services with SIGTERM: shut down like
+        # Ctrl-C — drain the queue, stop the workers, exit 0.
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, on_sigterm)
     try:
         server.serve_forever(poll_interval=0.2)
     except KeyboardInterrupt:

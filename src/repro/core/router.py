@@ -20,10 +20,10 @@ variable, default ``vector``):
   sequence of array ops over device-constant index tables, masking
   non-candidates to ``+inf``.  The routing loop runs as a generator
   (:meth:`SabreRouter._route_vector`) that yields at each scoring
-  step; solo runs drive it with a one-row block, and the trial
-  ensemble (:mod:`repro.engine.ensemble`) drives K generators in
-  lockstep against one K-row block so a whole fleet of trials shares
-  each kernel call.  Narrow fronts are scored by a scalar delta loop
+  step, and one driver (:meth:`SabreRouter._drive`) advances K such
+  generators in lockstep against one K-row block, so a whole fleet of
+  trials shares each kernel call; a solo :meth:`SabreRouter.run` is
+  the K=1 case.  Narrow fronts are scored by a scalar delta loop
   inside the generator (numpy dispatch would dominate), so small
   circuits never pay array overhead.
 - ``fast`` — the scalar flat-array delta scorer of
@@ -45,9 +45,22 @@ the thin-wrapper entry point) or a prebuilt shared
 :class:`~repro.circuits.flatdag.FlatDag`, plus an optional reusable
 :class:`~repro.circuits.flatdag.FrontierState` so repeated traversals
 of one circuit (the bidirectional search, best-of-K trials) never
-re-lower or reallocate per pass.  The pre-PR per-run object-DAG loop is
+re-lower or reallocate per pass.  The pre-IR per-run object-DAG loop is
 preserved verbatim in :mod:`repro.core.legacy` as the differential and
 perf baseline.
+
+Search mode: the layout search (:func:`repro.core.bidirectional.
+lockstep_search`, behind both :class:`~repro.core.bidirectional.
+SabreLayout` and the trial ensemble) routes every traversal with
+``_route_vector(..., emitting=False)``, which makes the same SWAP
+decisions but builds no circuit — it returns a :class:`SearchTrace`
+with the selection key and the SWAP record.  Only the winning forward
+traversal is rebuilt, once, by :meth:`SabreRouter._replay`.  A
+paper-default compile builds one circuit instead of fifteen; on the
+Table-II rows up to 3,500 gates on Tokyo and QX5 (the benchmark's
+``compile_table2`` workload, 2-core host) that moved the median
+in-process request latency from 52.3 ms to 41.5 ms over 10 alternating
+runs (README, "One no-emit layout search").
 """
 
 from __future__ import annotations
@@ -85,9 +98,6 @@ from repro.hardware.distance import bfs_flat_distance
 
 #: Scores within this tolerance are considered tied (random tie-break).
 _SCORE_EPSILON = SCORE_EPSILON
-
-#: Shared row tuple for the solo vector driver (avoids a per-step alloc).
-_SOLO_ROWS = (0,)
 
 
 @dataclass
@@ -318,20 +328,8 @@ class SabreRouter:
         deterministic.
         """
         ir = circuit if isinstance(circuit, FlatDag) else FlatDag.from_circuit(circuit)
+        self.check_routable(ir)
         n_physical = self.coupling.num_qubits
-        if ir.num_qubits > n_physical:
-            raise MappingError(
-                f"circuit has {ir.num_qubits} logical qubits but device "
-                f"{self.coupling.name!r} has only {n_physical} physical qubits"
-            )
-        if not ir.routable:
-            for gate in ir.gates:
-                if gate.num_qubits > 2 and not gate.is_directive:
-                    raise MappingError(
-                        f"gate {gate} has {gate.num_qubits} qubits; decompose to "
-                        "the {1q, CNOT} basis before routing"
-                    )
-
         layout = (initial_layout or Layout.trivial(n_physical)).copy()
         if layout.num_qubits != n_physical:
             raise MappingError(
@@ -467,6 +465,23 @@ class SabreRouter:
     # Vector path: generator traversal + drivers
     # ------------------------------------------------------------------
 
+    def check_routable(self, ir: FlatDag) -> None:
+        """Raise :class:`MappingError` unless ``ir`` fits the device and
+        is in the <=2-qubit routing basis."""
+        n_physical = self.coupling.num_qubits
+        if ir.num_qubits > n_physical:
+            raise MappingError(
+                f"circuit has {ir.num_qubits} logical qubits but device "
+                f"{self.coupling.name!r} has only {n_physical} physical qubits"
+            )
+        if not ir.routable:
+            for gate in ir.gates:
+                if gate.num_qubits > 2 and not gate.is_directive:
+                    raise MappingError(
+                        f"gate {gate} has {gate.num_qubits} qubits; decompose to "
+                        "the {1q, CNOT} basis before routing"
+                    )
+
     def _drive_solo(
         self,
         ir: FlatDag,
@@ -485,33 +500,47 @@ class SabreRouter:
             values=block.dv[0],
         )
         gen = self._route_vector(ir, layout, rng, frontier, block, 0, decay)
-        rngs = (rng,)
+        return self._drive([gen], block, [rng])[0]
+
+    def _drive(self, gens: list, block: VectorBlock, rngs: Sequence) -> list:
+        """Run K routing generators to completion in lockstep.
+
+        ``gens[t]`` routes block row ``t`` with tie-break stream
+        ``rngs[t]``.  Each round advances every generator to its next
+        kernel request (or its end), then scores all stuck rows in one
+        :meth:`VectorBlock.score_rows` call.  Returns each generator's
+        result, in row order.  Winner sets are requested whenever the
+        ``on_winner_set`` seam or a router profiler is active, so the
+        generators can report them per SWAP selection.
+        """
+        results: list = [None] * len(gens)
+        pending: List[int] = []
+        for t, gen in enumerate(gens):
+            try:
+                gen.send(None)
+                pending.append(t)
+            except StopIteration as stop:
+                results[t] = stop.value
         profiler = active_router_profiler()
-        try:
-            gen.send(None)
+        emit_sets = profiler is not None or self.on_winner_set is not None
+        score_rows = block.score_rows
+        perf = time.perf_counter
+        while pending:
             if profiler is None:
-                while True:
-                    gen.send(
-                        block.score_rows(
-                            _SOLO_ROWS,
-                            rngs,
-                            emit_sets=self.on_winner_set is not None,
-                        )[0]
-                    )
+                scored = score_rows(pending, rngs, emit_sets)
             else:
-                # Profiled driver: time every kernel call, and force
-                # winner-set emission so the generator sees tie sizes
-                # (it guards the user seam being unset itself).
-                perf = time.perf_counter
-                while True:
-                    t0 = perf()
-                    scored = block.score_rows(
-                        _SOLO_ROWS, rngs, emit_sets=True
-                    )[0]
-                    profiler.add_kernel(perf() - t0)
-                    gen.send(scored)
-        except StopIteration as stop:
-            return stop.value
+                t0 = perf()
+                scored = score_rows(pending, rngs, emit_sets)
+                profiler.add_kernel(perf() - t0)
+            advanced: List[int] = []
+            for t in pending:
+                try:
+                    gens[t].send(scored[t])
+                    advanced.append(t)
+                except StopIteration as stop:
+                    results[t] = stop.value
+            pending = advanced
+        return results
 
     def _route_vector(
         self,
@@ -811,9 +840,7 @@ class SabreRouter:
                     # sets — for the test seam, the profiler, or both;
                     # each consumer is guarded independently.
                     if profiler is not None:
-                        profiler.record_step(
-                            int(getattr(block, "_lane_c", -1)), len(wset)
-                        )
+                        profiler.record_step(block.row_lanes[row], len(wset))
                     if self.on_winner_set is not None:
                         self.on_winner_set(wset)
             apply_swap(qa, qb)

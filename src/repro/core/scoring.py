@@ -685,6 +685,10 @@ class VectorBlock:
         self._off10 = (np.arange(10, dtype=np.intp) * E)[:, None]
         self._lane_ce = _EMPTY_IDX
         self._lane_c = 0
+        #: Candidate-lane count of each row's last kernel-scored step,
+        #: kept when winner sets are emitted (the router profiler reads
+        #: it; ``_lane_c`` spans every row of a batched call).
+        self.row_lanes = [0] * K
         self._has_ext = False
         # Per-active-row coefficient / winner scalars (position-indexed).
         self._c1a = np.ones(K)
@@ -1350,6 +1354,8 @@ class VectorBlock:
         """
         C = self._lane_c
         q4 = self._q4
+        if emit_sets:
+            self.row_lanes[t] = e - s
         if n1 != n2:
             best_score = float("inf")
             best: List[int] = []

@@ -10,7 +10,10 @@ scoring one — so this module routes all K trials of a best-of-K run
 K routing generators (:meth:`~repro.core.router.SabreRouter.
 _route_vector`) advanced in lockstep, and a single batched
 ``score_rows`` call per round covering every trial that is stuck on a
-wide front.
+wide front.  The driver is :func:`repro.core.bidirectional.
+lockstep_search`, shared with :meth:`~repro.core.bidirectional.
+SabreLayout.run`: the ensemble keeps every seed's winner, the layout
+search keeps the overall one.
 
 Determinism contract: the ensemble reproduces the serial executor's
 per-seed results *exactly*.  Each trial keeps its own tie-break RNG
@@ -30,8 +33,6 @@ serial executor (same results, no lockstep speedup).
 
 from __future__ import annotations
 
-import random
-import time
 from typing import List, Optional, Sequence, Union
 
 from repro.circuits.circuit import QuantumCircuit
@@ -39,14 +40,16 @@ from repro.circuits.decompositions import (
     decompose_to_cx_basis,
     needs_cx_decomposition,
 )
-from repro.circuits.flatdag import FrontierState
-from repro.core.bidirectional import BidirectionalResult, TrialRecord
-from repro.core.heuristic import DecayArray, HeuristicConfig, resolve_scorer
+from repro.core.bidirectional import (
+    BidirectionalResult,
+    lockstep_search,
+    replay_winner,
+)
+from repro.core.heuristic import HeuristicConfig, resolve_scorer
 from repro.core.router import SabreRouter
-from repro.core.scoring import FlatDistance, VectorBlock
-from repro.exceptions import MappingError, ReproError
+from repro.core.scoring import FlatDistance
+from repro.exceptions import ReproError
 from repro.hardware.coupling import CouplingGraph
-from repro.telemetry.profile import active_router_profiler
 
 
 def decompose_like_pipeline(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -190,181 +193,38 @@ def ensemble_layout_search(
     vector scorer cannot serve (asymmetric distance matrix) — callers
     gate on :func:`ensemble_eligible` first.
 
-    Multi-traversal searches run every traversal in *search mode*
-    (:class:`~repro.core.router.SearchTrace`): no circuits are built
-    during the sweep at all, because only each trial's best forward
-    traversal — by the serial path's ``(num_swaps, depth)`` key — is
-    ever consumed.  That winner is then replayed mechanically from its
-    SWAP record into the byte-identical circuit the traversal would
-    have emitted.  Single-traversal runs emit directly (the one
-    forward traversal *is* the result).
+    The sweep is :func:`~repro.core.bidirectional.lockstep_search`,
+    the same driver behind :meth:`SabreLayout.run`: multi-traversal
+    searches build no circuit during the sweep, and each trial's
+    winning forward traversal is replayed once into its byte-identical
+    circuit.  Single-traversal runs emit directly.
     """
-    from repro.core.layout import Layout
     from repro.engine.cache import get_flat_dag, get_flat_dag_pair
 
-    if num_traversals < 1 or num_traversals % 2 == 0:
-        raise MappingError(
-            "num_traversals must be odd (forward-backward-...-forward), "
-            f"got {num_traversals}"
-        )
     if not seeds:
         raise ReproError("ensemble_layout_search needs at least one seed")
     router = SabreRouter(coupling, config=config, distance=distance)
-    if router.scorer != "vector":
-        raise MappingError(
-            "the trial ensemble needs the vector scorer; this "
-            f"configuration resolved to {router.scorer!r} "
-            "(asymmetric distance matrix or explicit scorer override)"
-        )
     if num_traversals > 1:
         forward_ir, reverse_ir = get_flat_dag_pair(circuit)
     else:
         forward_ir, reverse_ir = get_flat_dag(circuit), None
-    n = coupling.num_qubits
-    if forward_ir.num_qubits > n:
-        raise MappingError(
-            f"circuit has {forward_ir.num_qubits} logical qubits but device "
-            f"{coupling.name!r} has only {n} physical qubits"
-        )
-    if not forward_ir.routable:
-        for gate in forward_ir.gates:
-            if gate.num_qubits > 2 and not gate.is_directive:
-                raise MappingError(
-                    f"gate {gate} has {gate.num_qubits} qubits; decompose "
-                    "to the {1q, CNOT} basis before routing"
-                )
-    K = len(seeds)
-    block = VectorBlock(
-        router._vdev, router.neighbors, router.config, router._buf_list,
-        rows=K,
+    searches = lockstep_search(
+        router,
+        forward_ir,
+        reverse_ir,
+        seeds,
+        num_traversals,
+        emitting=num_traversals == 1,
     )
-    config = router.config
-    # Per-trial state threaded across traversal phases.
-    layouts = [Layout.random(n, seed=s) for s in seeds]
-    first_pass_swaps = [0] * K
-    final_swaps = [0] * K
-    best: List[Optional[BidirectionalResult]] = [None] * K
-    best_key = [None] * K
-    traces = [None] * K
-    # A single forward traversal is necessarily each trial's best, so
-    # it emits its circuit directly; longer sweeps run every traversal
-    # in no-emission search mode and replay only the winners below.
-    emitting = num_traversals == 1
-    frontiers = {
-        "forward": [FrontierState(forward_ir) for _ in range(K)],
-        "reverse": (
-            [FrontierState(reverse_ir) for _ in range(K)]
-            if reverse_ir is not None
-            else []
-        ),
-    }
-    for traversal in range(num_traversals):
-        forward = traversal % 2 == 0
-        ir = forward_ir if forward else reverse_ir
-        phase_frontiers = frontiers["forward" if forward else "reverse"]
-        # Fresh per-phase tie-break RNG per trial, exactly as the
-        # serial path's router.run(seed=trial_seed) per traversal.
-        rngs = [random.Random(s) for s in seeds]
-        results: List[Optional[object]] = [None] * K
-        gens = []
-        for t in range(K):
-            phase_frontiers[t].reset()
-            decay = DecayArray(
-                n,
-                config.decay_delta,
-                config.decay_reset_interval,
-                values=block.dv[t],
-            )
-            gens.append(
-                router._route_vector(
-                    ir,
-                    layouts[t].copy(),
-                    rngs[t],
-                    phase_frontiers[t],
-                    block,
-                    t,
-                    decay,
-                    emitting=emitting,
-                )
-            )
-        # Lockstep rounds: advance every generator to its next kernel
-        # request (or completion), then score all stuck rows at once.
-        pending: List[int] = []
-        for t in range(K):
-            try:
-                gens[t].send(None)
-                pending.append(t)
-            except StopIteration as stop:
-                results[t] = stop.value
-        profiler = active_router_profiler()
-        while pending:
-            if profiler is None:
-                scored = block.score_rows(pending, rngs, emit_sets=False)
-            else:
-                t0 = time.perf_counter()
-                scored = block.score_rows(pending, rngs, emit_sets=False)
-                profiler.add_kernel(time.perf_counter() - t0)
-                # One batched call advances every stuck trial one step;
-                # the compacted candidate-lane count covers the whole
-                # batch, and tie sizes are unavailable (emit_sets off).
-                profiler.record_step(int(getattr(block, "_lane_c", -1)), 0)
-            advanced: List[int] = []
-            for t in pending:
-                try:
-                    gens[t].send(scored[t])
-                    advanced.append(t)
-                except StopIteration as stop:
-                    results[t] = stop.value
-            pending = advanced
-        for t in range(K):
-            result = results[t]
-            layouts[t] = result.final_layout
-            if traversal == 0:
-                first_pass_swaps[t] = result.num_swaps
-            final_swaps[t] = result.num_swaps
-            if not forward:
-                continue
-            if emitting:
-                best[t] = BidirectionalResult(
-                    routing=result,
-                    initial_layout=result.initial_layout,
-                    best_trial_index=0,
-                )
-                continue
-            # The serial path ranks forward traversals by
-            # (num_swaps, circuit_depth); SearchTrace.depth mirrors the
-            # depth of the unbuilt circuit exactly, so the same winner
-            # falls out without any circuit existing yet.
-            key = (result.num_swaps, result.depth)
-            if best_key[t] is None or key < best_key[t]:
-                best_key[t] = key
-                traces[t] = result
-    if not emitting:
-        # Replay each trial's winning forward traversal into a real
-        # circuit — mechanical re-emission of the recorded SWAPs,
-        # byte-identical to what the traversal would have built.
-        fwd = frontiers["forward"]
-        for t in range(K):
-            trace = traces[t]
-            assert trace is not None
-            fwd[t].reset()
-            routing = router._replay(
-                forward_ir, trace.initial_layout.copy(), fwd[t], trace
-            )
-            best[t] = BidirectionalResult(
+    # Every trial keeps its own winner: replay each one.
+    results: List[BidirectionalResult] = []
+    for search in searches:
+        routing = replay_winner(router, forward_ir, search.best)
+        results.append(
+            BidirectionalResult(
                 routing=routing,
                 initial_layout=routing.initial_layout,
-                best_trial_index=0,
+                trials=[search.record],
             )
-    searches: List[BidirectionalResult] = []
-    for t in range(K):
-        record = TrialRecord(
-            seed=seeds[t],
-            first_pass_swaps=first_pass_swaps[t],
-            final_swaps=final_swaps[t],
         )
-        result = best[t]
-        assert result is not None
-        result.trials = [record]
-        searches.append(result)
-    return searches
+    return results
